@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -40,15 +39,17 @@ var families = []family{
 // injected errors, for every family and the stored-rule table.
 var groundTruth = floors{recall: 0.8, precision: 0.9}
 
-// Shares of a bulk run's seconds: upload rounds, stored-rule passes,
-// then the open and the closed read loops.
+// Per second of a bulk run: upload rounds, stored-rule passes,
+// closed-loop reads and restores; and the share of its seconds given to
+// the open read loop.
 const (
-	bulkRoundShare  = 0.35
-	bulkStoredShare = 0.25
-	bulkOpenShare   = 0.2
-	bulkClosedShare = 0.2
-	bulkShards      = 2
-	csvParses       = 3
+	bulkRounds    = 0.1
+	bulkPasses    = 0.2
+	bulkClosedOps = 300
+	bulkRestores  = 0.25
+	bulkOpenShare = 0.2
+	bulkShards    = 2
+	csvParses     = 3
 )
 
 // bulkInput is one generated table and its CSV.
@@ -99,13 +100,12 @@ func runBulk(cfg config) (*result, error) {
 	t, c := newTally(), &checks{}
 
 	// Set-up: parse the stored-rule table's CSV.
-	var parses []float64
+	var parses []cost
 	var big *table.Table
 	for i := 0; i < csvParses; i++ {
-		runtime.GC() // each timed parse starts from the same heap
-		t0 := time.Now()
+		m := startMeter(true)
 		big, err = table.ReadCSV("bulk_stored", bytes.NewReader(stored.csv))
-		parses = append(parses, time.Since(t0).Seconds())
+		parses = append(parses, m.stop())
 		if err != nil {
 			return nil, err
 		}
@@ -118,48 +118,52 @@ func runBulk(cfg config) (*result, error) {
 	heap := heapMB()
 
 	var pipe []float64
+	var pipeWall []float64
 	var last []bulkSession
 	var round int
-	for start := time.Now(); round == 0 || time.Since(start) < share(cfg, bulkRoundShare); round++ {
+	for ; round < count(cfg, bulkRounds, 1); round++ {
 		for _, s := range last {
 			_, err := env.api.call("DELETE", "/api/v1/sessions/"+s.id, "", nil)
 			t.add("delete", err)
 		}
-		sessions, rows, dur, err := uploadFamilies(env, inputs, round, t, c)
+		sessions, rows, up, err := uploadFamilies(env, inputs, round, t, c)
 		if err != nil {
 			return nil, err
 		}
 		last = sessions
-		pipe = append(pipe, float64(rows)/dur.Seconds())
+		pipe = append(pipe, float64(rows)/up.cpu.Seconds())
+		pipeWall = append(pipeWall, float64(rows)/up.wall.Seconds())
 	}
 	det, boot, err := storedRules(env.sys, big, stored, fmt.Sprintf("bulk_phone_state_r%d", round-1),
-		share(cfg, bulkStoredShare), t, c)
+		count(cfg, bulkPasses, 3), t, c)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "bulk: pipeline rows/s %.0f; stored-rule detect rows/s %.0f; bootstrap rows/s %.0f\n", pipe, det, boot)
+	fmt.Fprintf(os.Stderr, "bulk: CSV parse wall s %.3f, CPU s %.3f; pipeline rows/s wall %.0f, CPU %.0f; stored-rule detect wall s %.3f, CPU s %.3f; bootstrap wall s %.3f, CPU s %.3f\n",
+		wallSeconds(parses), cpuSeconds(parses), pipeWall, pipe, wallSeconds(det), cpuSeconds(det), wallSeconds(boot), cpuSeconds(boot))
 
-	open, closed, closedDur, err := bulkReads(cfg, env, last, t, c)
+	open, openCost, closed, closedDur, err := bulkReads(cfg, env, last, t, c)
 	if err != nil {
 		return nil, err
 	}
 	reportTraffic(open, closed, closedDur)
+	fmt.Fprintf(os.Stderr, "  open   CPU ms per request %.4g\n", ms(openCost.cpu)/float64(len(open)))
 
-	restoreS, stateMB, err := backupRestore(env, last, share(cfg, restoreShare), t, c)
+	restore, stateMB, err := backupRestore(env, last, count(cfg, bulkRestores, 3), t, c)
 	if err != nil {
 		return nil, err
 	}
-	all := latencies(open)
+	fmt.Fprintf(os.Stderr, "restores: wall s %.3f, CPU s %.3f\n", wallSeconds(restore), cpuSeconds(restore))
+	rows := float64(big.NumRows())
 	m := map[string]metric{
-		"setup_s":              {summarize(parses).Median, "s"},
-		"live_heap_mb":         {heap, "MB"},
-		"request_p50_ms":       {summarize(all).Median, "ms"},
-		"requests_per_s":       {float64(countOK(closed)) / closedDur.Seconds(), "1/s"},
-		"pipeline_rows_per_s":  {fastest(pipe, false), "rows/s"},
-		"detect_rows_per_s":    {fastest(det, false), "rows/s"},
-		"bootstrap_rows_per_s": {fastest(boot, false), "rows/s"},
-		"restore_s":            {restoreS, "s"},
-		"state_mb":             {stateMB, "MB"},
+		"setup_s":                  {mid(cpuSeconds(parses)), "s"},
+		"live_heap_mb":             {heap, "MB"},
+		"request_cpu_ms":           {ms(openCost.cpu) / float64(len(open)), "ms"},
+		"pipeline_rows_per_cpu_s":  {mid(pipe), "rows/cpu_s"},
+		"detect_rows_per_cpu_s":    {mid(perCPUSecond(rows, det)), "rows/cpu_s"},
+		"bootstrap_rows_per_cpu_s": {mid(perCPUSecond(rows, boot)), "rows/cpu_s"},
+		"restore_cpu_s":            {mid(cpuSeconds(restore)), "s"},
+		"state_mb":                 {stateMB, "MB"},
 	}
 	return finish(t, c, m), nil
 }
@@ -167,10 +171,10 @@ func runBulk(cfg config) (*result, error) {
 // uploadFamilies uploads every family through POST /api/v1/sessions (the
 // whole pipeline: profile, discovery, detection, repairs) one after the
 // other, and checks each against its generator's ground truth. It returns
-// the rows uploaded and the summed upload latency.
-func uploadFamilies(env *serveEnv, inputs []bulkInput, round int, t *tally, c *checks) ([]bulkSession, int, time.Duration, error) {
+// the rows uploaded and the summed cost of the uploads.
+func uploadFamilies(env *serveEnv, inputs []bulkInput, round int, t *tally, c *checks) ([]bulkSession, int, cost, error) {
 	var out []bulkSession
-	rows, total := 0, time.Duration(0)
+	rows, total := 0, cost{}
 	for _, in := range inputs {
 		name := fmt.Sprintf("bulk_%s_r%d", in.fam.name, round)
 		var r struct {
@@ -178,12 +182,14 @@ func uploadFamilies(env *serveEnv, inputs []bulkInput, round int, t *tally, c *c
 			Rows       int    `json:"rows"`
 			Violations int    `json:"violations"`
 		}
-		t0 := time.Now()
+		m := startMeter(false)
 		_, err := env.api.callJSON("POST", "/api/v1/sessions?name="+name, "", in.csv, &r)
-		total += time.Since(t0)
+		up := m.stop()
+		total.wall += up.wall
+		total.cpu += up.cpu
 		t.add("upload", err)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, cost{}, err
 		}
 		rows += r.Rows
 		if r.Rows != in.ds.Table.NumRows() {
@@ -199,7 +205,7 @@ func uploadFamilies(env *serveEnv, inputs []bulkInput, round int, t *tally, c *c
 		_, err = env.api.callJSON("GET", "/api/v1/sessions/"+r.Session+"/pfds", "", nil, &p)
 		t.add("read_pfds", err)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, cost{}, err
 		}
 		var ids []string
 		for _, x := range p.PFDs {
@@ -212,7 +218,7 @@ func uploadFamilies(env *serveEnv, inputs []bulkInput, round int, t *tally, c *c
 		_, err = env.api.callJSON("GET", "/api/v1/sessions/"+r.Session+"/repairs", "", nil, &rep)
 		t.add("read_repairs", err)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, cost{}, err
 		}
 		c.fail(checkGroundTruth(name, rep.Repairs, in.ds.InjectedRows(), groundTruth))
 		out = append(out, bulkSession{id: r.Session, name: name, violations: r.Violations})
@@ -223,9 +229,9 @@ func uploadFamilies(env *serveEnv, inputs []bulkInput, round int, t *tally, c *c
 // storedRules applies the rules discovered on the last phone_state
 // upload to fresh copies of the large table (System.LoadPFDs +
 // Session.UseRules, detection and repairs), then bootstraps each copy's
-// K=2 engine, pass after pass for at least three passes and until budget
-// has passed. It returns each pass's detection and bootstrap rows/s.
-func storedRules(sys *core.System, big *table.Table, in bulkInput, ruleTable string, budget time.Duration, t *tally, c *checks) ([]float64, []float64, error) {
+// K=2 engine, pass after pass. It returns each pass's detection and
+// bootstrap cost.
+func storedRules(sys *core.System, big *table.Table, in bulkInput, ruleTable string, passes int, t *tally, c *checks) ([]cost, []cost, error) {
 	rules, err := sys.LoadPFDs(ruleTable)
 	if err == nil && len(rules) == 0 {
 		err = fmt.Errorf("no stored rules for %s", ruleTable)
@@ -234,23 +240,20 @@ func storedRules(sys *core.System, big *table.Table, in bulkInput, ruleTable str
 	if err != nil {
 		return nil, nil, err
 	}
-	var det, boot []float64
-	rows := float64(big.NumRows())
-	for pass, start := 0, time.Now(); pass < minPasses || time.Since(start) < budget; pass++ {
+	var det, boot []cost
+	for pass := 0; pass < passes; pass++ {
 		sess := sys.NewSessionWith("bulk", big.Clone(), core.SessionConfig{Params: sys.Defaults(), Shards: bulkShards})
 		sess.UseRules(rules)
-		runtime.GC() // each timed pass starts from the same heap
-		t0 := time.Now()
+		m := startMeter(true)
 		err := sess.RunStages(context.Background(), core.StageDetection, core.StageRepairs)
-		det = append(det, rows/time.Since(t0).Seconds())
+		det = append(det, m.stop())
 		t.add("stored_detect", err)
 		if err != nil {
 			return nil, nil, err
 		}
-		runtime.GC()
-		t1 := time.Now()
+		m = startMeter(true)
 		eng, err := sess.Stream()
-		boot = append(boot, rows/time.Since(t1).Seconds())
+		boot = append(boot, m.stop())
 		t.add("bootstrap", err)
 		if err != nil {
 			return nil, nil, err
@@ -265,11 +268,12 @@ func storedRules(sys *core.System, big *table.Table, in bulkInput, ruleTable str
 
 // bulkReads browses the uploaded sessions' results: violation pages,
 // detection summaries and rule lists, first open-loop at a fixed rate,
-// then closed-loop.
-func bulkReads(cfg config, env *serveEnv, sessions []bulkSession, t *tally, c *checks) ([]opRecord, []opRecord, time.Duration, error) {
+// then closed-loop. It returns the open loop's records and cost, and the
+// closed loop's records and duration.
+func bulkReads(cfg config, env *serveEnv, sessions []bulkSession, t *tally, c *checks) ([]opRecord, cost, []opRecord, time.Duration, error) {
 	n := int(cfg.size.bulkReads * cfg.seconds * bulkOpenShare)
 	if n < cfg.size.minOpen {
-		return nil, nil, 0, fmt.Errorf("%d open-loop reads per run, want at least %d", n, cfg.size.minOpen)
+		return nil, cost{}, nil, 0, fmt.Errorf("%d open-loop reads per run, want at least %d", n, cfg.size.minOpen)
 	}
 	const queues = 8
 	rng := rand.New(rand.NewSource(cfg.seed))
@@ -317,24 +321,25 @@ func bulkReads(cfg config, env *serveEnv, sessions []bulkSession, t *tally, c *c
 		}
 		return op
 	}
+	m := startMeter(false)
 	open := openLoop(cfg.size.bulkReads, n, queues, read)
+	openCost := m.stop()
 	t.addRecords(open)
 	counts := make([]int, closedClients)
-	closed, closedDur := closedLoop(closedClients, share(cfg, bulkClosedShare),
+	closed, closedDur := closedLoop(closedClients, count(cfg, bulkClosedOps, closedClients)/closedClients,
 		func(client int) (string, error) {
 			op := read(counts[client]*closedClients + client)
 			counts[client]++
 			return op.kind, op.do()
 		})
 	t.addRecords(closed)
-	return open, closed, closedDur, nil
+	return open, openCost, closed, closedDur, nil
 }
 
 // backupRestore downloads every uploaded session's backup and restores
-// all of them into a fresh memory-only server, at least restores times
-// and until budget has passed; it returns the fastest restore and the
-// backups' size in MB.
-func backupRestore(env *serveEnv, sessions []bulkSession, budget time.Duration, t *tally, c *checks) (float64, float64, error) {
+// all of them into a fresh memory-only server n times; it returns the
+// cost of each restore and the backups' size in MB.
+func backupRestore(env *serveEnv, sessions []bulkSession, n int, t *tally, c *checks) ([]cost, float64, error) {
 	tars := make([][]byte, len(sessions))
 	listings := make([][]byte, len(sessions))
 	size := 0
@@ -343,19 +348,18 @@ func backupRestore(env *serveEnv, sessions []bulkSession, budget time.Duration, 
 		tars[i], err = env.api.call("GET", "/api/v1/sessions/"+s.id+"/backup", "", nil)
 		t.add("backup", err)
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
 		size += len(tars[i])
 		listings[i], err = env.api.call("GET", "/api/v1/sessions/"+s.id+"/violations", "", nil)
 		t.add("read_listing", err)
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
 	}
-	var times []float64
-	for rep, start := 0, time.Now(); rep < restores || time.Since(start) < budget; rep++ {
-		runtime.GC()
-		t0 := time.Now()
+	var times []cost
+	for rep := 0; rep < n; rep++ {
+		m := startMeter(true)
 		srv := server.New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 		h := srv.Handler()
 		for i := range sessions {
@@ -367,17 +371,17 @@ func backupRestore(env *serveEnv, sessions []bulkSession, budget time.Duration, 
 			}
 			t.add("restore", err)
 			if err != nil {
-				return 0, 0, err
+				return nil, 0, err
 			}
 		}
-		times = append(times, time.Since(t0).Seconds())
+		times = append(times, m.stop())
 		for i, s := range sessions {
 			got, err := handlerGet(h, "/api/v1/sessions/"+s.id+"/violations")
 			if err != nil {
-				return 0, 0, err
+				return nil, 0, err
 			}
 			c.fail(checkRestored(s.id, sessionState{listing: listings[i]}, sessionState{listing: got}))
 		}
 	}
-	return fastest(times, true), float64(size) / (1 << 20), nil
+	return times, float64(size) / (1 << 20), nil
 }

@@ -55,7 +55,7 @@ type sizes struct {
 func defaultSizes() sizes {
 	return sizes{
 		deltaRows:      25_000,
-		deltaRate:      100,
+		deltaRate:      60,
 		tenantSessions: 100,
 		tenantRows:     2_000,
 		tenantWrites:   300,

@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -48,35 +47,38 @@ type serveSpec struct {
 	// keeps vary enough between generated tables (20 to 60 constant rows)
 	// to move the cost of detection by a quarter from seed to seed.
 	fixedTables bool
+	// setups is how many times the run sets its sessions up; the median
+	// set-up is reported.
+	setups int
+	// openShare is the share of a run's seconds given to the open loop.
+	openShare float64
+	// closedOps and rounds are, per second of a run, the closed loop's
+	// operations and the rounds of a stored-rule pass and a restore after
+	// the traffic. Counts rather than durations give every run of a seed
+	// the same operations and the same final state, however busy the
+	// machine.
+	closedOps, rounds float64
 }
 
-// Share of a run's seconds given to the open loop; the closed loop gets
-// the rest.
-const openShare = 0.7
+// count is perSecond operations for each of the run's seconds, and at
+// least least.
+func count(cfg config, perSecond float64, least int) int {
+	return max(least, int(perSecond*cfg.seconds))
+}
 
 // closedClients is the closed loop's client count.
 const closedClients = 2
 
-// A run restores its state at least restores times and for restoreShare
-// of its seconds; the fastest restore is reported.
-const (
-	restores     = 3
-	restoreShare = 0.15
-)
-
-// share is the given share of a run's seconds.
-func share(cfg config, f float64) time.Duration {
-	return time.Duration(cfg.seconds * f * float64(time.Second))
-}
-
 func deltasSpec(s sizes) serveSpec {
 	return serveSpec{name: "serve-deltas", sessions: 2, rows: s.deltaRows, tenants: 2, shards: 2,
-		skew: 1.3, writeRate: s.deltaRate, fixedTables: true}
+		skew: 1.3, writeRate: s.deltaRate, fixedTables: true, setups: 3,
+		openShare: 0.85, closedOps: 30, rounds: 0.35}
 }
 
 func tenantsSpec(s sizes) serveSpec {
 	return serveSpec{name: "serve-tenants", sessions: s.tenantSessions, rows: s.tenantRows, tenants: 8, shards: 1,
-		limits: true, writeRate: s.tenantWrites, readRate: s.tenantReads, zipf: true}
+		limits: true, writeRate: s.tenantWrites, readRate: s.tenantReads, zipf: true, fixedTables: true, setups: 1,
+		openShare: 0.5, closedOps: 200, rounds: 0.2}
 }
 
 func runServeDeltas(cfg config) (*result, error) {
@@ -109,7 +111,7 @@ func (sp serveSpec) admission() server.Limits {
 }
 
 func (sp serveSpec) openOps(seconds float64) int {
-	return int((sp.writeRate + sp.readRate) * seconds * openShare)
+	return int((sp.writeRate + sp.readRate) * seconds * sp.openShare)
 }
 
 // isRead spreads reads evenly through a traffic sequence at the spec's
@@ -125,6 +127,8 @@ type servedSession struct {
 	id, name, tenant string
 	gen              *datagen.Dataset
 	csv              []byte
+	// setup is the generated table, kept for the stored-rule passes.
+	setup *table.Table
 	// mu is held by a closed-loop client for a whole operation, so the
 	// model and the served table see the same order of batches.
 	mu     sync.Mutex
@@ -277,10 +281,8 @@ func (e *serveEnv) stop() error {
 	return e.stopEr
 }
 
-// parallel runs f over every session with two workers and returns the
-// wall time.
-func parallel(sessions []*servedSession, f func(s *servedSession)) time.Duration {
-	t0 := time.Now()
+// parallel runs f over every session with two workers.
+func parallel(sessions []*servedSession, f func(s *servedSession)) {
 	next := make(chan *servedSession)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -297,7 +299,6 @@ func parallel(sessions []*servedSession, f func(s *servedSession)) time.Duration
 	}
 	close(next)
 	wg.Wait()
-	return time.Since(t0)
 }
 
 func (e *serveEnv) upload(s *servedSession) error {
@@ -458,17 +459,34 @@ func runServe(cfg config, sp serveSpec) (*result, error) {
 	}
 	t, c := newTally(), &checks{}
 
-	t0 := time.Now()
 	env, err := startServe(dataDir, sp)
 	if err != nil {
 		return nil, err
 	}
 	defer env.stop()
-	upDur := parallel(sessions, func(s *servedSession) { t.add("upload", env.upload(s)) })
-	bootDur := parallel(sessions, func(s *servedSession) { t.add("bootstrap", env.bootstrap(s)) })
-	setup := time.Since(t0)
-	if t.firstErr != nil {
-		return nil, fmt.Errorf("setup: %w", t.firstErr)
+	// Every set-up uploads the same tables under new names; all but the
+	// last are deleted again, with their persisted state.
+	var setups, uploads []cost
+	var heaps []float64
+	for rep := 0; rep < sp.setups; rep++ {
+		if rep > 0 {
+			parallel(sessions, func(s *servedSession) {
+				_, err := env.api.call("DELETE", "/api/v1/sessions/"+s.id, s.tenant, nil)
+				t.add("delete", err)
+			})
+		}
+		for _, s := range sessions {
+			s.name = fmt.Sprintf("phones_%03d_r%d", s.idx, rep)
+		}
+		m := startMeter(false)
+		parallel(sessions, func(s *servedSession) { t.add("upload", env.upload(s)) })
+		uploads = append(uploads, m.stop())
+		parallel(sessions, func(s *servedSession) { t.add("bootstrap", env.bootstrap(s)) })
+		setups = append(setups, m.stop())
+		if t.firstErr != nil {
+			return nil, fmt.Errorf("setup: %w", t.firstErr)
+		}
+		heaps = append(heaps, heapMB())
 	}
 	rows := 0
 	for _, s := range sessions {
@@ -480,7 +498,7 @@ func runServe(cfg config, sp serveSpec) (*result, error) {
 			return nil, fmt.Errorf("session %s: planted dependency: %w", s.name, err)
 		}
 		s.model = newPhoneModel(s.gen.Table, s.rule.blockKeyLen())
-		s.gen, s.csv = nil, nil
+		s.setup, s.gen, s.csv = s.gen.Table, nil, nil
 		_, vs, err := env.listing(s)
 		t.add("read_listing", err)
 		if err != nil {
@@ -496,19 +514,20 @@ func runServe(cfg config, sp serveSpec) (*result, error) {
 			s.folded[vioKey(v)] = v
 		}
 	}
-	heap := heapMB()
-	fmt.Fprintf(os.Stderr, "setup %.2fs: %d sessions, %d rows; uploads %.2fs, bootstrap %.2fs; live heap %.1f MB\n",
-		setup.Seconds(), len(sessions), rows, upDur.Seconds(), bootDur.Seconds(), heap)
+	fmt.Fprintf(os.Stderr, "setup: %d sessions, %d rows; set-ups wall s %.3f, CPU s %.3f; uploads wall s %.3f, CPU s %.3f; live heap MB %.1f\n",
+		len(sessions), rows, wallSeconds(setups), cpuSeconds(setups), wallSeconds(uploads), cpuSeconds(uploads), heaps)
 
 	tr := newTraffic(sp, sessions, cfg.seed)
+	m := startMeter(false)
 	open := openLoop(sp.writeRate+sp.readRate, openN, len(sessions), func(i int) trafficOp { return tr.build(env, c, i) })
+	openCost := m.stop()
 	t.addRecords(open)
 	clients := make([]*traffic, closedClients)
 	counts := make([]int, closedClients)
 	for i := range clients {
 		clients[i] = newTraffic(sp, sessions, cfg.seed+int64(i)+1)
 	}
-	closed, closedDur := closedLoop(closedClients, share(cfg, 1-openShare),
+	closed, closedDur := closedLoop(closedClients, count(cfg, sp.closedOps, closedClients)/closedClients,
 		func(client int) (string, error) {
 			ct, n := clients[client], counts[client]
 			counts[client]++
@@ -525,6 +544,7 @@ func runServe(cfg config, sp serveSpec) (*result, error) {
 		})
 	t.addRecords(closed)
 	reportTraffic(open, closed, closedDur)
+	fmt.Fprintf(os.Stderr, "  open   CPU ms per request %.4g\n", ms(openCost.cpu)/float64(len(open)))
 	for _, s := range sessions {
 		if err := env.padJournal(s, c, t); err != nil {
 			return nil, err
@@ -555,43 +575,66 @@ func runServe(cfg config, sp serveSpec) (*result, error) {
 		}
 		before[s.id] = sessionState{listing: data, seq: s.seq}
 	}
-	det, boot, err := storedRulePasses(env.sys, sessions, served, sp.shards, share(cfg, passShare), t, c)
-	if err != nil {
-		return nil, err
+	if err := env.stop(); err != nil {
+		return nil, fmt.Errorf("stop server: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "stored-rule passes: detect rows/s %.0f; bootstrap rows/s %.0f\n", det, boot)
 	stateMB, err := dirMB(dataDir)
 	if err != nil {
 		return nil, err
 	}
-	if err := env.stop(); err != nil {
-		return nil, fmt.Errorf("stop server: %w", err)
-	}
 
-	var restoreS []float64
-	r0 := time.Now()
-	for i := 0; i < restores || time.Since(r0) < share(cfg, restoreShare); i++ {
-		d, err := restoreAndCheck(dataDir, sp, before, c, i == 0)
+	// The stored rules over the final tables give the served violations.
+	final := make([]*table.Table, len(sessions))
+	for i, s := range sessions {
+		if final[i], err = s.model.table(s.name); err != nil {
+			return nil, err
+		}
+	}
+	_, _, stored, engines, err := storedRulePass(env.sys, sessions, final, sp.shards, t)
+	if err != nil {
+		return nil, err
+	}
+	for i := range sessions {
+		c.fail(checkSame("served violations vs DetectAllContext on the model table", served[i], stored[i].Violations))
+		c.fail(checkSame("served violations vs a fresh engine bootstrap", served[i], engines[i].Violations()))
+	}
+	stored, engines, final = nil, nil, nil
+
+	// Timed rounds: stored-rule passes over copies of the set-up tables,
+	// the same for every run of a seed (for serve-deltas, of every seed),
+	// take turns with restores of the final state, so both spread over
+	// the same stretch of the run; the median of each is reported.
+	var det, boot, restore []cost
+	for round := 0; round < count(cfg, sp.rounds, minRounds); round++ {
+		tables := make([]*table.Table, len(sessions))
+		for i, s := range sessions {
+			tables[i] = s.setup.Clone()
+		}
+		d, b, _, _, err := storedRulePass(env.sys, sessions, tables, sp.shards, t)
+		if err != nil {
+			return nil, err
+		}
+		r, err := restoreAndCheck(dataDir, sp, before, c, round == 0)
 		t.add("restore", err)
 		if err != nil {
 			return nil, err
 		}
-		restoreS = append(restoreS, d.Seconds())
+		det, boot, restore = append(det, d), append(boot, b), append(restore, r)
 	}
+	fmt.Fprintf(os.Stderr, "after the traffic, %d rounds: detect wall s %.3f, CPU s %.3f; bootstrap wall s %.3f, CPU s %.3f; restore wall s %.3f, CPU s %.3f\n",
+		len(restore), wallSeconds(det), cpuSeconds(det), wallSeconds(boot), cpuSeconds(boot), wallSeconds(restore), cpuSeconds(restore))
 
-	all := latencies(open)
-	m := map[string]metric{
-		"setup_s":              {setup.Seconds(), "s"},
-		"live_heap_mb":         {heap, "MB"},
-		"request_p50_ms":       {summarize(all).Median, "ms"},
-		"requests_per_s":       {float64(countOK(closed)) / closedDur.Seconds(), "1/s"},
-		"pipeline_rows_per_s":  {float64(rows) / upDur.Seconds(), "rows/s"},
-		"detect_rows_per_s":    {fastest(det, false), "rows/s"},
-		"bootstrap_rows_per_s": {fastest(boot, false), "rows/s"},
-		"restore_s":            {fastest(restoreS, true), "s"},
-		"state_mb":             {stateMB, "MB"},
+	metrics := map[string]metric{
+		"setup_s":                  {mid(cpuSeconds(setups)), "s"},
+		"live_heap_mb":             {mid(heaps), "MB"},
+		"request_cpu_ms":           {ms(openCost.cpu) / float64(len(open)), "ms"},
+		"pipeline_rows_per_cpu_s":  {mid(perCPUSecond(float64(rows), uploads)), "rows/cpu_s"},
+		"detect_rows_per_cpu_s":    {mid(perCPUSecond(float64(rows), det)), "rows/cpu_s"},
+		"bootstrap_rows_per_cpu_s": {mid(perCPUSecond(float64(rows), boot)), "rows/cpu_s"},
+		"restore_cpu_s":            {mid(cpuSeconds(restore)), "s"},
+		"state_mb":                 {stateMB, "MB"},
 	}
-	return finish(t, c, m), nil
+	return finish(t, c, metrics), nil
 }
 
 // restoreTail is the number of journaled batches every session holds
@@ -623,67 +666,38 @@ func (e *serveEnv) padJournal(s *servedSession, c *checks, t *tally) error {
 	return nil
 }
 
-// A served run repeats the stored-rule detection and the engine
-// bootstrap over its final tables at least minPasses times and for
-// passShare of its seconds; the fastest pass is reported.
-const (
-	passShare = 0.2
-	minPasses = 3
-)
+// minRounds is the least number of timed rounds a served run makes.
+const minRounds = 3
 
-// storedRulePasses runs the sessions' stored rules over fresh copies of
-// their final model tables — detection and repairs, then the K-shard
-// engine bootstrap (System.LoadPFDs rules, Session.UseRules,
-// Session.Stream) — checks both against the served violations, and
-// returns each pass's rows per second.
-func storedRulePasses(sys *core.System, sessions []*servedSession, served [][]pfd.Violation, shards int, budget time.Duration, t *tally, c *checks) ([]float64, []float64, error) {
-	var det, boot []float64
-	start := time.Now()
-	for pass := 0; pass < minPasses || time.Since(start) < budget; pass++ {
-		tables := make([]*table.Table, len(sessions))
-		rows := 0
-		for i, s := range sessions {
-			tbl, err := s.model.table(s.name)
-			if err != nil {
-				return nil, nil, err
-			}
-			tables[i] = tbl
-			rows += tbl.NumRows()
+// storedRulePass runs the sessions' stored rules over the given tables,
+// one per session — detection and repairs, then the K-shard engine
+// bootstrap (System.LoadPFDs rules, Session.UseRules, Session.Stream) —
+// and returns the cost of each step with the sessions and engines.
+func storedRulePass(sys *core.System, sessions []*servedSession, tables []*table.Table, shards int, t *tally) (cost, cost, []*core.Session, []core.Streamer, error) {
+	stored := make([]*core.Session, len(sessions))
+	m := startMeter(true)
+	for i, s := range sessions {
+		se := sys.NewSessionWith(s.tenant, tables[i], core.SessionConfig{Params: sys.Defaults(), Shards: shards})
+		se.UseRules(s.rules)
+		err := se.RunStages(context.Background(), core.StageDetection, core.StageRepairs)
+		t.add("stored_detect", err)
+		if err != nil {
+			return cost{}, cost{}, nil, nil, err
 		}
-		stored := make([]*core.Session, len(sessions))
-		runtime.GC() // each timed pass starts from the same heap
-		d0 := time.Now()
-		for i, s := range sessions {
-			se := sys.NewSessionWith(s.tenant, tables[i], core.SessionConfig{Params: sys.Defaults(), Shards: shards})
-			se.UseRules(s.rules)
-			err := se.RunStages(context.Background(), core.StageDetection, core.StageRepairs)
-			t.add("stored_detect", err)
-			if err != nil {
-				return nil, nil, err
-			}
-			stored[i] = se
-		}
-		det = append(det, float64(rows)/time.Since(d0).Seconds())
-		engines := make([]core.Streamer, len(sessions))
-		runtime.GC()
-		b0 := time.Now()
-		for i, se := range stored {
-			eng, err := se.Stream()
-			t.add("bootstrap", err)
-			if err != nil {
-				return nil, nil, err
-			}
-			engines[i] = eng
-		}
-		boot = append(boot, float64(rows)/time.Since(b0).Seconds())
-		if pass == 0 {
-			for i := range sessions {
-				c.fail(checkSame("served violations vs DetectAllContext on the model table", served[i], stored[i].Violations))
-				c.fail(checkSame("served violations vs a fresh engine bootstrap", served[i], engines[i].Violations()))
-			}
-		}
+		stored[i] = se
 	}
-	return det, boot, nil
+	det := m.stop()
+	engines := make([]core.Streamer, len(sessions))
+	m = startMeter(true)
+	for i, se := range stored {
+		eng, err := se.Stream()
+		t.add("bootstrap", err)
+		if err != nil {
+			return cost{}, cost{}, nil, nil, err
+		}
+		engines[i] = eng
+	}
+	return det, m.stop(), stored, engines, nil
 }
 
 func countOK(recs []opRecord) int {
@@ -707,26 +721,26 @@ func reportTraffic(open, closed []opRecord, closedDur time.Duration) {
 		fmt.Fprintf(os.Stderr, "  open   %-13s latency ms %s\n", k, summarize(latencies(open, k)))
 	}
 	fmt.Fprintf(os.Stderr, "  open   generator lateness ms %s\n", summarize(lateness(open)))
-	fmt.Fprintf(os.Stderr, "  closed %d ops in %.2fs, latency ms %s\n", len(closed), closedDur.Seconds(), summarize(latencies(closed)))
+	fmt.Fprintf(os.Stderr, "  closed %d ops in %.2fs (%.1f/s), latency ms %s\n",
+		len(closed), closedDur.Seconds(), float64(countOK(closed))/closedDur.Seconds(), summarize(latencies(closed)))
 }
 
 // restoreAndCheck reopens the data directory into a fresh server and
-// times it; with check set it also compares every session with its
-// state before the restore.
-func restoreAndCheck(dir string, sp serveSpec, before map[string]sessionState, c *checks, check bool) (time.Duration, error) {
-	runtime.GC()
-	t0 := time.Now()
+// returns the cost; with check set it also compares every session with
+// its state before the restore.
+func restoreAndCheck(dir string, sp serveSpec, before map[string]sessionState, c *checks, check bool) (cost, error) {
+	m := startMeter(true)
 	pm, err := persist.Open(dir, persist.Options{Fsync: true})
 	if err != nil {
-		return 0, err
+		return cost{}, err
 	}
 	defer pm.Close()
 	srv := server.New(core.NewSystemWith(docstore.NewMem(), sp.systemConfig()))
 	srv.SetLimits(sp.admission())
 	n, err := srv.RestoreSessions(pm)
-	d := time.Since(t0)
+	d := m.stop()
 	if err != nil {
-		return 0, err
+		return cost{}, err
 	}
 	if n != len(before) {
 		c.fail(fmt.Errorf("restore: %d sessions, want %d", n, len(before)))
@@ -738,15 +752,15 @@ func restoreAndCheck(dir string, sp serveSpec, before map[string]sessionState, c
 	for id, st := range before {
 		listing, err := handlerGet(h, "/api/v1/sessions/"+id+"/violations")
 		if err != nil {
-			return 0, err
+			return cost{}, err
 		}
 		body, err := handlerGet(h, fmt.Sprintf("/api/v1/sessions/%s/violations?since=%d", id, st.seq))
 		if err != nil {
-			return 0, err
+			return cost{}, err
 		}
 		var diff diffBody
 		if err := json.Unmarshal(body, &diff); err != nil {
-			return 0, err
+			return cost{}, err
 		}
 		if diff.Reset || diff.Count != 0 {
 			c.fail(fmt.Errorf("restore: session %s: ?since=%d answered reset %v with %d changes", id, st.seq, diff.Reset, diff.Count))

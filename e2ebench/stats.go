@@ -3,8 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -91,21 +94,88 @@ func (s summary) String() string {
 	return fmt.Sprintf("p50=%.4g p%g=%.4g (n=%d)", s.Median, float64(s.TailP)/10, s.Tail, s.N)
 }
 
-// fastest is the best of repeated measurements of the same work: the
-// largest rate, or with lower set the smallest time. Interference from
-// other tenants of a shared machine only ever slows a pass down, so the
-// fastest pass is the steadiest estimate of the work's own cost.
-func fastest(xs []float64, lower bool) float64 {
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if (lower && x < best) || (!lower && x > best) {
-			best = x
-		}
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// cpuTime is the CPU time, user and system, that the process has used so
+// far over all its threads.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
 	}
-	return best
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+// cost is the wall-clock time of a stretch of work and the CPU time the
+// process spent in it. On a shared virtual machine the wall-clock time
+// of the same work moves with other tenants' load far more than its CPU
+// time does (see README.md), so the end-to-end metrics are CPU costs and
+// wall-clock figures go to stderr.
+type cost struct{ wall, cpu time.Duration }
+
+// meter times a stretch of work from its start.
+type meter struct {
+	wall time.Time
+	cpu  time.Duration
+	// gcPercent is the collector setting to restore at stop, when the
+	// meter holds the collector off.
+	gcPercent int
+	held      bool
+}
+
+// startMeter starts timing. With held set it first collects the garbage
+// and then holds the collector off until stop, for self-contained
+// passes of bounded size: a collection cycle inside the work makes its
+// CPU time depend on the machine, since the collector's background
+// workers aim at a share of wall-clock time and burn more CPU the longer
+// a cycle takes. Held off, the same pass costs the same CPU time within
+// about ten percent; its allocation cost is still counted.
+func startMeter(held bool) meter {
+	m := meter{held: held}
+	if held {
+		runtime.GC()
+		m.gcPercent = debug.SetGCPercent(-1)
+	}
+	m.wall, m.cpu = time.Now(), cpuTime()
+	return m
+}
+
+func (m meter) stop() cost {
+	c := cost{time.Since(m.wall), cpuTime() - m.cpu}
+	if m.held {
+		debug.SetGCPercent(m.gcPercent)
+	}
+	return c
+}
+
+// perCPUSecond is n units of work over each cost's CPU seconds.
+func perCPUSecond(n float64, cs []cost) []float64 {
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		out[i] = n / c.cpu.Seconds()
+	}
+	return out
+}
+
+// cpuSeconds and wallSeconds list the costs' CPU and wall-clock seconds.
+func cpuSeconds(cs []cost) []float64 {
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		out[i] = c.cpu.Seconds()
+	}
+	return out
+}
+
+func wallSeconds(cs []cost) []float64 {
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		out[i] = c.wall.Seconds()
+	}
+	return out
+}
+
+// mid is the median of unsorted values.
+func mid(xs []float64) float64 { return summarize(xs).Median }
 
 // opRecord is one timed operation. For open-loop operations sched is
 // when the operation was due, sent when the generator handed it to its
@@ -172,19 +242,18 @@ func openLoop(rate float64, n, queues int, build func(i int) trafficOp) []opReco
 	return recs
 }
 
-// closedLoop runs clients that each issue their next operation only
-// after the previous one completed, until d has passed. It returns the
-// records and the measured duration.
-func closedLoop(clients int, d time.Duration, next func(client int) (string, error)) ([]opRecord, time.Duration) {
+// closedLoop runs clients that each issue n operations, the next only
+// after the previous one completed. It returns the records and the
+// measured duration.
+func closedLoop(clients, n int, next func(client int) (string, error)) ([]opRecord, time.Duration) {
 	out := make([][]opRecord, clients)
 	var wg sync.WaitGroup
 	start := time.Now()
-	end := start.Add(d)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for time.Now().Before(end) {
+			for i := 0; i < n; i++ {
 				t := time.Now()
 				kind, err := next(c)
 				out[c] = append(out[c], opRecord{kind: kind, sched: t, sent: t, done: time.Now(), err: err})

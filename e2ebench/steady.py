@@ -8,18 +8,25 @@ metric's bound in BENCHMARK.json. Use it to set and check the bounds:
 
     python3 e2ebench/steady.py --runs 10
     python3 e2ebench/steady.py --runs 5 --workloads serve-tenants --first-seed 11
+
+--log-dir keeps every run's standard error (per-pass wall and CPU
+seconds, latency summaries) as <workload>-<seed>.log in that directory.
 """
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 
 
-def run(workload, seed, seconds, trace):
+def run(workload, seed, seconds, trace, log_dir):
     cmd = ["bash", "e2ebench/run.sh", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     p = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=900)
+    if log_dir:
+        with open(os.path.join(log_dir, f"{workload}-{seed}.log"), "w") as f:
+            f.write(p.stderr)
     lines = p.stdout.strip().splitlines()
     if p.returncode != 0 or not lines:
         sys.stderr.write(p.stderr[-3000:])
@@ -37,13 +44,14 @@ def main():
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--verbose", action="store_true", help="print every run's values")
+    ap.add_argument("--log-dir", help="keep every run's standard error here")
     args = ap.parse_args()
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"] + bench["per_layer"]}
     worst = 0.0
     for w in args.workloads.split(","):
         results = []
         for i in range(args.runs):
-            r = run(w, args.first_seed + i, args.seconds, args.trace)
+            r = run(w, args.first_seed + i, args.seconds, args.trace, args.log_dir)
             if not r["correct"]:
                 raise SystemExit(f"{w} seed {args.first_seed + i}: incorrect")
             results.append(r)
